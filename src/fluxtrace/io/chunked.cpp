@@ -1,11 +1,12 @@
 #include "fluxtrace/io/chunked.hpp"
 
+#include <algorithm>
 #include <array>
-#include <atomic>
 #include <bit>
 #include <cstring>
 #include <fstream>
 #include <istream>
+#include <new>
 #include <ostream>
 #include <sstream>
 #include <string>
@@ -30,23 +31,15 @@ using detail::peek_u8;
 using detail::peek_u32;
 using detail::peek_u64;
 
-// Self-telemetry (ISSUE 3): parallel decode effectiveness — chunks that
-// actually went wide vs. times we had to drop back to the strict
-// sequential parser.
+// Self-telemetry: chunks the strict read decoded.
 struct V2Metrics {
   obs::Counter& chunks = obs::metrics().counter("io.v2.chunks_decoded");
-  obs::Counter& fallbacks = obs::metrics().counter("io.v2.parallel_fallbacks");
 
   static V2Metrics& get() {
     static V2Metrics m;
     return m;
   }
 };
-
-constexpr std::uint8_t kChunkMarkers = 0;
-constexpr std::uint8_t kChunkSamples = 1;
-constexpr std::uint8_t kChunkEof = 2;
-constexpr std::uint8_t kChunkWaitEdges = 3;
 
 constexpr std::size_t kMarkerBytes = 8 + 8 + 4 + 1;
 constexpr std::size_t kSampleBytes =
@@ -55,6 +48,17 @@ constexpr std::size_t kWaitEdgeBytes =
     8 + 8 + 8 + 4 + 4 + 4 + 1; // enter+leave+item+waiter+holder+resource+cause
 
 // --- record encode/decode (v1 field layout) ---------------------------
+
+// Room for n more records: exact on an empty vector (a chunk decoding
+// into its own part), geometric on one that is growing chunk by chunk.
+// An exact reserve(size + n) per chunk would copy the whole vector on
+// every chunk and make a many-chunk read quadratic.
+template <typename V>
+void reserve_more(V& v, std::size_t n) {
+  if (v.capacity() - v.size() < n) {
+    v.reserve(std::max(v.size() + n, 2 * v.capacity()));
+  }
+}
 
 void encode_marker(std::string& b, const Marker& m) {
   app_u64(b, m.tsc);
@@ -83,7 +87,7 @@ void encode_wait_edge(std::string& b, const WaitEdge& e) {
 bool decode_markers(std::string_view payload, std::uint32_t n,
                     std::vector<Marker>& out) {
   if (payload.size() != static_cast<std::size_t>(n) * kMarkerBytes) return false;
-  out.reserve(out.size() + n);
+  reserve_more(out, n);
   std::size_t at = 0;
   for (std::uint32_t i = 0; i < n; ++i) {
     Marker m;
@@ -102,7 +106,7 @@ bool decode_markers(std::string_view payload, std::uint32_t n,
 bool decode_samples(std::string_view payload, std::uint32_t n,
                     SampleVec& out) {
   if (payload.size() != static_cast<std::size_t>(n) * kSampleBytes) return false;
-  out.reserve(out.size() + n);
+  reserve_more(out, n);
   std::size_t at = 0;
   for (std::uint32_t i = 0; i < n; ++i) {
     PebsSample s;
@@ -125,7 +129,7 @@ bool decode_wait_edges(std::string_view payload, std::uint32_t n,
   if (payload.size() != static_cast<std::size_t>(n) * kWaitEdgeBytes) {
     return false;
   }
-  out.reserve(out.size() + n);
+  reserve_more(out, n);
   std::size_t at = 0;
   for (std::uint32_t i = 0; i < n; ++i) {
     WaitEdge e;
@@ -156,7 +160,94 @@ std::string read_rest(std::istream& is) {
   return std::move(buf).str();
 }
 
+// Reserve each stream of `out` once from the record counts of the chunks
+// about to be decoded (V2ChunkRefs or Frames), so the decode appends
+// without reallocating. A count is only header-CRC-checked, not yet
+// proven by a decode, so each stream is capped at one record per file
+// byte (compressed chunks can hold more records than bytes, so a tighter
+// cap would cut short real v3 files). What a forged count reserves
+// beyond that is address space no record is ever decoded into; if even
+// that cannot be had, the streams grow geometrically instead.
+template <typename Chunks>
+void reserve_streams(TraceData& out, const Chunks& chunks,
+                     std::size_t file_bytes) {
+  std::size_t n_markers = 0;
+  std::size_t n_samples = 0;
+  std::size_t n_waits = 0;
+  for (const auto& c : chunks) {
+    std::size_t& n = is_marker_chunk_type(c.type)   ? n_markers
+                     : is_sample_chunk_type(c.type) ? n_samples
+                                                    : n_waits;
+    n += c.n_records;
+  }
+  try {
+    out.markers.reserve(std::min(n_markers, file_bytes));
+    out.samples.reserve(std::min(n_samples, file_bytes));
+    out.wait_edges.reserve(std::min(n_waits, file_bytes));
+  } catch (const std::bad_alloc&) {
+    // decode without the reservation
+  }
+}
+
+// The strict read's error: one salvage pass over the image says what is
+// damaged and how much salvage_trace()/flxt_recover would get back.
+TraceIoError damaged_trace_error(std::string_view file) {
+  const SalvageReport rep = salvage_trace(file);
+  std::string why = std::to_string(rep.chunks_corrupt) + " corrupt chunks, " +
+                    std::to_string(rep.bytes_truncated) + " truncated bytes";
+  if (!rep.eof_ok) why += ", missing end-of-file sentinel (torn write)";
+  if (rep.chunks_past_eof != 0) {
+    why += ", " + std::to_string(rep.chunks_past_eof) +
+           " chunks past the end-of-file sentinel";
+  }
+  return TraceIoError("damaged v2 trace (" + why +
+                      "); use salvage_trace()/flxt_recover to recover " +
+                      std::to_string(rep.chunks_ok) + " intact chunks");
+}
+
 } // namespace
+
+bool detail::decode_chunk_payload(std::uint8_t type, std::string_view payload,
+                                  std::uint32_t n, TraceData& out) {
+  const std::size_t m0 = out.markers.size();
+  const std::size_t s0 = out.samples.size();
+  const std::size_t w0 = out.wait_edges.size();
+  bool ok = false;
+  switch (type) {
+    case kChunkTypeMarkers: ok = decode_markers(payload, n, out.markers); break;
+    case kChunkTypeSamples: ok = decode_samples(payload, n, out.samples); break;
+    case kChunkTypeWaitEdges:
+      ok = decode_wait_edges(payload, n, out.wait_edges);
+      break;
+    default:
+      ok = is_compressed_chunk_type(type) &&
+           decode_compressed_chunk(type, payload, n, out);
+      break;
+  }
+  if (!ok) {
+    // A record decoder may fail part-way through its payload: drop what
+    // it appended so a skipped chunk leaves no partial records behind.
+    out.markers.resize(m0);
+    out.samples.resize(s0);
+    out.wait_edges.resize(w0);
+  }
+  return ok;
+}
+
+std::string_view detail::checked_payload(std::string_view file,
+                                         const V2ChunkRef& ref) {
+  const Frame f = parse_frame(file, ref.offset);
+  if (f.status != FrameStatus::Ok || f.type != ref.type ||
+      f.n_records != ref.n_records || f.payload.size() != ref.payload_bytes) {
+    throw TraceIoError("chunk ref does not match the file image at offset " +
+                       std::to_string(ref.offset));
+  }
+  if (!f.payload_intact()) {
+    throw TraceIoError("chunk payload CRC mismatch at offset " +
+                       std::to_string(ref.offset));
+  }
+  return f.payload;
+}
 
 std::string detail::make_chunk(std::uint8_t type, std::uint32_t n_records,
                                const std::string& payload) {
@@ -237,25 +328,26 @@ std::string encode_marker_chunk(const Marker* ms, std::size_t n) {
   std::string payload;
   payload.reserve(n * kMarkerBytes);
   for (std::size_t i = 0; i < n; ++i) encode_marker(payload, ms[i]);
-  return make_chunk(kChunkMarkers, static_cast<std::uint32_t>(n), payload);
+  return make_chunk(kChunkTypeMarkers, static_cast<std::uint32_t>(n), payload);
 }
 
 std::string encode_sample_chunk(const PebsSample* ss, std::size_t n) {
   std::string payload;
   payload.reserve(n * kSampleBytes);
   for (std::size_t i = 0; i < n; ++i) encode_sample(payload, ss[i]);
-  return make_chunk(kChunkSamples, static_cast<std::uint32_t>(n), payload);
+  return make_chunk(kChunkTypeSamples, static_cast<std::uint32_t>(n), payload);
 }
 
 std::string encode_wait_chunk(const WaitEdge* es, std::size_t n) {
   std::string payload;
   payload.reserve(n * kWaitEdgeBytes);
   for (std::size_t i = 0; i < n; ++i) encode_wait_edge(payload, es[i]);
-  return make_chunk(kChunkWaitEdges, static_cast<std::uint32_t>(n), payload);
+  return make_chunk(kChunkTypeWaitEdges, static_cast<std::uint32_t>(n),
+                    payload);
 }
 
 std::string encode_eof_chunk() {
-  return make_chunk(kChunkEof, 0, std::string{});
+  return make_chunk(kChunkTypeEof, 0, std::string{});
 }
 
 void write_trace_v2(std::ostream& os, const TraceData& data,
@@ -286,7 +378,7 @@ void write_trace_v2(std::ostream& os, const TraceData& data,
     for (std::size_t i = 0; i < n; ++i) {
       encode_marker(payload, data.markers[at + i]);
     }
-    write_chunk(os, kChunkMarkers, static_cast<std::uint32_t>(n), payload);
+    write_chunk(os, kChunkTypeMarkers, static_cast<std::uint32_t>(n), payload);
   }
   check("marker chunks");
   for (std::size_t at = 0; at < data.samples.size();
@@ -297,7 +389,7 @@ void write_trace_v2(std::ostream& os, const TraceData& data,
     for (std::size_t i = 0; i < n; ++i) {
       encode_sample(payload, data.samples[at + i]);
     }
-    write_chunk(os, kChunkSamples, static_cast<std::uint32_t>(n), payload);
+    write_chunk(os, kChunkTypeSamples, static_cast<std::uint32_t>(n), payload);
   }
   check("sample chunks");
   for (std::size_t at = 0; at < data.wait_edges.size();
@@ -308,12 +400,13 @@ void write_trace_v2(std::ostream& os, const TraceData& data,
     for (std::size_t i = 0; i < n; ++i) {
       encode_wait_edge(payload, data.wait_edges[at + i]);
     }
-    write_chunk(os, kChunkWaitEdges, static_cast<std::uint32_t>(n), payload);
+    write_chunk(os, kChunkTypeWaitEdges, static_cast<std::uint32_t>(n),
+                payload);
   }
   check("wait-edge chunks");
   // Torn-write detector: a crash cutting the file at an exact chunk
   // boundary would otherwise look like a complete shorter file.
-  write_chunk(os, kChunkEof, 0, std::string{});
+  write_chunk(os, kChunkTypeEof, 0, std::string{});
   os.flush();
   check("eof chunk");
 }
@@ -323,6 +416,7 @@ SalvageReport salvage_trace(std::istream& is) {
 }
 
 SalvageReport salvage_trace(std::string_view buf) {
+  using detail::FrameStatus;
   SalvageReport rep;
 
   // File header: 8 bytes of magic + version. Versions 2 and 3 are one
@@ -337,17 +431,16 @@ SalvageReport salvage_trace(std::string_view buf) {
     pos = 8;
   }
 
+  // Walk the frames first, then decode the ones found: the decode can
+  // then reserve each stream once instead of growing it chunk by chunk.
+  std::vector<detail::Frame> frames;
   while (pos < buf.size()) {
-    const std::size_t remaining = buf.size() - pos;
-    if (remaining < kChunkHeaderBytes) {
-      rep.bytes_truncated += remaining; // torn mid-header
+    const detail::Frame f = detail::parse_frame(buf, pos);
+    if (f.status == FrameStatus::Torn) {
+      rep.bytes_truncated += buf.size() - pos; // torn mid-header or payload
       break;
     }
-    const bool magic_ok = peek_u32(buf, pos) == kChunkMagic;
-    const std::uint32_t header_crc = peek_u32(buf, pos + 13);
-    const bool header_ok =
-        magic_ok && header_crc == crc32(buf.data() + pos, 13);
-    if (!header_ok) {
+    if (f.status == FrameStatus::BadHeader) {
       // Damaged header: resynchronize at the next chunk magic. A false
       // positive inside payload bytes fails its own header CRC and the
       // scan simply continues.
@@ -355,51 +448,36 @@ SalvageReport salvage_trace(std::string_view buf) {
       const std::size_t next = buf.find(magic_bytes, pos + 1, 4);
       ++rep.chunks_resynced;
       if (next == std::string_view::npos) {
-        rep.bytes_truncated += remaining;
+        rep.bytes_truncated += buf.size() - pos;
         break;
       }
       rep.bytes_skipped += next - pos;
       pos = next;
       continue;
     }
-
-    const std::uint8_t type = peek_u8(buf, pos + 4);
-    const std::uint32_t n_records = peek_u32(buf, pos + 5);
-    const std::uint32_t payload_bytes = peek_u32(buf, pos + 9);
-    const std::uint32_t payload_crc = peek_u32(buf, pos + 17);
-    if (remaining - kChunkHeaderBytes < payload_bytes) {
-      rep.bytes_truncated += remaining; // torn mid-payload
-      break;
-    }
-    const std::string_view payload =
-        buf.substr(pos + kChunkHeaderBytes, payload_bytes);
-    const std::size_t chunk_total = kChunkHeaderBytes + payload_bytes;
-    bool ok = payload_crc == crc32(payload.data(), payload.size());
-    if (ok && type == kChunkEof && n_records == 0 && payload_bytes == 0) {
+    pos += f.bytes();
+    // A clean file ends at its eof sentinel (index_trace_v2): anything
+    // framed after it is still recovered, but marks the file not clean.
+    if (rep.eof_ok) ++rep.chunks_past_eof;
+    if (f.is_eof()) {
       rep.eof_ok = true;
-      pos += chunk_total;
       continue;
     }
-    if (ok) {
-      if (type == kChunkMarkers) {
-        ok = decode_markers(payload, n_records, rep.data.markers);
-      } else if (type == kChunkSamples) {
-        ok = decode_samples(payload, n_records, rep.data.samples);
-      } else if (type == kChunkWaitEdges) {
-        ok = decode_wait_edges(payload, n_records, rep.data.wait_edges);
-      } else if (is_compressed_chunk_type(type)) {
-        ok = decode_compressed_chunk(type, payload, n_records, rep.data);
-      } else {
-        ok = false; // unknown chunk type from a future writer: skip
-      }
-    }
-    if (ok) {
+    frames.push_back(f);
+  }
+
+  reserve_streams(rep.data, frames, buf.size());
+  for (const detail::Frame& f : frames) {
+    // An unknown type (a future writer's) or a malformed eof sentinel
+    // fails the decode and is skipped like any damaged payload.
+    if (f.payload_intact() &&
+        detail::decode_chunk_payload(f.type, f.payload, f.n_records,
+                                     rep.data)) {
       ++rep.chunks_ok;
     } else {
       ++rep.chunks_corrupt;
-      rep.bytes_skipped += chunk_total;
+      rep.bytes_skipped += f.bytes();
     }
-    pos += chunk_total;
   }
   return rep;
 }
@@ -413,26 +491,6 @@ SalvageReport salvage_trace_file(const std::string& path) {
   return salvage_trace(is);
 }
 
-TraceData read_trace_v2_body(std::istream& is) {
-  return read_trace_v2_body(std::string_view(read_rest(is)));
-}
-
-TraceData read_trace_v2_body(std::string_view body) {
-  SalvageReport rep = salvage_trace(body);
-  rep.header_ok = true; // read_trace() already consumed and checked it
-  if (!rep.clean()) {
-    std::string why = std::to_string(rep.chunks_corrupt) +
-                      " corrupt chunks, " +
-                      std::to_string(rep.bytes_truncated) + " truncated bytes";
-    if (!rep.eof_ok) why += ", missing end-of-file sentinel (torn write)";
-    throw TraceIoError(
-        "damaged v2 trace (" + why +
-        "); use salvage_trace()/flxt_recover to recover " +
-        std::to_string(rep.chunks_ok) + " intact chunks");
-  }
-  return std::move(rep.data);
-}
-
 std::vector<V2ChunkRef> index_trace_v2(std::string_view file) {
   if (file.size() < 8 || peek_u32(file, 0) != kTraceMagic ||
       (peek_u32(file, 4) != kTraceVersion2 &&
@@ -444,31 +502,25 @@ std::vector<V2ChunkRef> index_trace_v2(std::string_view file) {
   bool saw_eof = false;
   while (pos < file.size()) {
     if (saw_eof) throw TraceIoError("data past the v2 eof sentinel");
-    if (file.size() - pos < kChunkHeaderBytes) {
-      throw TraceIoError("truncated v2 chunk header");
+    const detail::Frame f = detail::parse_frame(file, pos);
+    if (f.status == detail::FrameStatus::Torn) {
+      throw TraceIoError("truncated v2 chunk");
     }
-    if (peek_u32(file, pos) != kChunkMagic ||
-        peek_u32(file, pos + 13) != crc32(file.data() + pos, 13)) {
+    if (f.status == detail::FrameStatus::BadHeader) {
       throw TraceIoError("damaged v2 chunk header");
     }
-    const std::uint8_t type = peek_u8(file, pos + 4);
-    const std::uint32_t n_records = peek_u32(file, pos + 5);
-    const std::uint32_t payload_bytes = peek_u32(file, pos + 9);
-    if (file.size() - pos - kChunkHeaderBytes < payload_bytes) {
-      throw TraceIoError("truncated v2 chunk payload");
-    }
-    if (type == kChunkEof) {
-      if (n_records != 0 || payload_bytes != 0) {
-        throw TraceIoError("malformed v2 eof sentinel");
-      }
+    if (f.type == kChunkTypeEof) {
+      if (!f.is_eof()) throw TraceIoError("malformed v2 eof sentinel");
       saw_eof = true;
-    } else if (type == kChunkMarkers || type == kChunkSamples ||
-               type == kChunkWaitEdges || is_compressed_chunk_type(type)) {
-      out.push_back(V2ChunkRef{pos, type, n_records, payload_bytes});
+    } else if (f.type == kChunkTypeMarkers || f.type == kChunkTypeSamples ||
+               f.type == kChunkTypeWaitEdges ||
+               is_compressed_chunk_type(f.type)) {
+      out.push_back(V2ChunkRef{pos, f.type, f.n_records,
+                               static_cast<std::uint32_t>(f.payload.size())});
     } else {
       throw TraceIoError("unknown v2 chunk type");
     }
-    pos += kChunkHeaderBytes + payload_bytes;
+    pos += f.bytes();
   }
   if (!saw_eof) {
     throw TraceIoError("missing v2 end-of-file sentinel (torn write)");
@@ -478,95 +530,56 @@ std::vector<V2ChunkRef> index_trace_v2(std::string_view file) {
 
 void decode_trace_v2_chunk(std::string_view file, const V2ChunkRef& ref,
                            TraceData& out) {
-  if (ref.offset + kChunkHeaderBytes > file.size() ||
-      file.size() - ref.offset - kChunkHeaderBytes < ref.payload_bytes) {
-    throw TraceIoError("chunk ref outside the file image");
+  const std::string_view payload = detail::checked_payload(file, ref);
+  if (!detail::decode_chunk_payload(ref.type, payload, ref.n_records, out)) {
+    throw TraceIoError("malformed v2 chunk records at offset " +
+                       std::to_string(ref.offset));
   }
-  const std::string_view payload =
-      file.substr(ref.offset + kChunkHeaderBytes, ref.payload_bytes);
-  if (peek_u32(file, ref.offset + 17) !=
-      crc32(payload.data(), payload.size())) {
-    throw TraceIoError("v2 chunk payload CRC mismatch");
-  }
-  bool ok = false;
-  if (ref.type == kChunkMarkers) {
-    ok = decode_markers(payload, ref.n_records, out.markers);
-  } else if (ref.type == kChunkSamples) {
-    ok = decode_samples(payload, ref.n_records, out.samples);
-  } else if (ref.type == kChunkWaitEdges) {
-    ok = decode_wait_edges(payload, ref.n_records, out.wait_edges);
-  } else if (is_compressed_chunk_type(ref.type)) {
-    ok = decode_compressed_chunk(ref.type, payload, ref.n_records, out);
-  }
-  if (!ok) throw TraceIoError("malformed v2 chunk records");
 }
 
-void decode_trace_v2_samples_columnar(std::string_view file,
-                                      const V2ChunkRef& ref,
-                                      const SampleColumnSink& sink) {
-  if (ref.type != kChunkSamples) {
-    throw TraceIoError("columnar decode on a non-sample chunk");
-  }
-  if (ref.offset + kChunkHeaderBytes > file.size() ||
-      file.size() - ref.offset - kChunkHeaderBytes < ref.payload_bytes) {
-    throw TraceIoError("chunk ref outside the file image");
-  }
-  const std::string_view payload =
-      file.substr(ref.offset + kChunkHeaderBytes, ref.payload_bytes);
-  if (peek_u32(file, ref.offset + 17) !=
-      crc32(payload.data(), payload.size())) {
-    throw TraceIoError("v2 chunk payload CRC mismatch");
-  }
-  const std::uint32_t n = ref.n_records;
-  if (payload.size() != static_cast<std::size_t>(n) * kSampleBytes ||
-      sink.reg_index >= kNumRegs) {
-    throw TraceIoError("malformed v2 chunk records");
-  }
-  // Geometric growth, never an exact-fit reserve: reserve(size + n) per
-  // chunk would reallocate (and copy the whole accumulated column) on
-  // every chunk of a multi-chunk decode — O(chunks * rows) memcpy that
-  // once dominated the cold-open profile. Callers that know the total
-  // row count up front should pre-reserve it; this only backstops.
-  const auto grow = [](std::vector<std::int64_t>& v, std::size_t add) {
-    const std::size_t need = v.size() + add;
-    if (v.capacity() < need) v.reserve(std::max(need, v.capacity() * 2));
-    const std::size_t base = v.size();
-    v.resize(need);
-    return v.data() + base;
-  };
-  std::int64_t* tsc_out = grow(*sink.tsc, n);
-  std::int64_t* ip_out = grow(*sink.ip, n);
-  std::int64_t* core_out = grow(*sink.core, n);
-  std::int64_t* reg_out = sink.reg != nullptr ? grow(*sink.reg, n) : nullptr;
-  const std::size_t reg_off = 20 + std::size_t{sink.reg_index} * 8;
-  std::size_t at = 0;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    tsc_out[i] = static_cast<std::int64_t>(peek_u64(payload, at));
-    ip_out[i] = static_cast<std::int64_t>(peek_u64(payload, at + 8));
-    core_out[i] = static_cast<std::int64_t>(peek_u32(payload, at + 16));
-    if (reg_out != nullptr) {
-      reg_out[i] = static_cast<std::int64_t>(peek_u64(payload, at + reg_off));
+TraceData read_trace_chunked(std::string_view file, unsigned n_threads) {
+  try {
+    const std::vector<V2ChunkRef> refs = index_trace_v2(file);
+    TraceData out;
+    if (n_threads <= 1 || refs.size() <= 1) {
+      reserve_streams(out, refs, file.size());
+      for (const V2ChunkRef& r : refs) decode_trace_v2_chunk(file, r, out);
+    } else {
+      // Each chunk decodes into its own part; parallel_for rethrows the
+      // first failure in chunk order, as the inline loop would meet it.
+      // The output is reserved only once the parts exist: taking its
+      // pages first measurably slowed later passes over the heap (the
+      // postmortem workload's core::diagnose, 4-CPU host).
+      std::vector<TraceData> parts(refs.size());
+      rt::ThreadPool pool(
+          static_cast<unsigned>(std::min<std::size_t>(n_threads, refs.size())));
+      pool.parallel_for(refs.size(), [&](std::size_t i) {
+        decode_trace_v2_chunk(file, refs[i], parts[i]);
+      });
+      reserve_streams(out, refs, file.size());
+      for (const TraceData& p : parts) {
+        out.markers.insert(out.markers.end(), p.markers.begin(),
+                           p.markers.end());
+        out.samples.insert(out.samples.end(), p.samples.begin(),
+                           p.samples.end());
+        out.wait_edges.insert(out.wait_edges.end(), p.wait_edges.begin(),
+                              p.wait_edges.end());
+      }
     }
-    at += kSampleBytes;
+    V2Metrics::get().chunks.inc(refs.size());
+    return out;
+  } catch (const TraceIoError&) {
+    throw damaged_trace_error(file);
   }
 }
 
 void decode_trace_v2_samples_slice(std::string_view file,
                                    const V2ChunkRef& ref,
                                    const SampleColumnSlice& out) {
-  if (ref.type != kChunkSamples) {
+  if (ref.type != kChunkTypeSamples) {
     throw TraceIoError("columnar decode on a non-sample chunk");
   }
-  if (ref.offset + kChunkHeaderBytes > file.size() ||
-      file.size() - ref.offset - kChunkHeaderBytes < ref.payload_bytes) {
-    throw TraceIoError("chunk ref outside the file image");
-  }
-  const std::string_view payload =
-      file.substr(ref.offset + kChunkHeaderBytes, ref.payload_bytes);
-  if (peek_u32(file, ref.offset + 17) !=
-      crc32(payload.data(), payload.size())) {
-    throw TraceIoError("v2 chunk payload CRC mismatch");
-  }
+  const std::string_view payload = detail::checked_payload(file, ref);
   const std::uint32_t n = ref.n_records;
   if (payload.size() != static_cast<std::size_t>(n) * kSampleBytes ||
       out.reg_index >= kNumRegs) {
@@ -583,110 +596,6 @@ void decode_trace_v2_samples_slice(std::string_view file,
     }
     at += kSampleBytes;
   }
-}
-
-TraceData read_trace_v2_body_parallel(std::string_view body,
-                                      rt::ThreadPool& pool) {
-  // Index pass: walk the chunk headers sequentially (header CRCs are 13
-  // bytes each — negligible next to payload work) and record where every
-  // payload lives. Any irregularity whatsoever — bad magic, bad header
-  // CRC, truncation, unknown chunk type, missing eof sentinel — drops to
-  // the sequential strict parser so damaged files produce byte-identical
-  // diagnostics either way.
-  struct ChunkRef {
-    std::uint8_t type;
-    std::uint32_t n_records;
-    std::size_t payload_at;
-    std::uint32_t payload_bytes;
-    std::uint32_t payload_crc;
-  };
-  std::vector<ChunkRef> chunks;
-  bool eof_seen = false;
-  bool irregular = false;
-  std::size_t pos = 0;
-  while (pos < body.size()) {
-    const std::size_t remaining = body.size() - pos;
-    if (remaining < kChunkHeaderBytes) {
-      irregular = true;
-      break;
-    }
-    if (peek_u32(body, pos) != kChunkMagic ||
-        peek_u32(body, pos + 13) != crc32(body.data() + pos, 13)) {
-      irregular = true;
-      break;
-    }
-    const std::uint8_t type = peek_u8(body, pos + 4);
-    const std::uint32_t n_records = peek_u32(body, pos + 5);
-    const std::uint32_t payload_bytes = peek_u32(body, pos + 9);
-    const std::uint32_t payload_crc = peek_u32(body, pos + 17);
-    if (remaining - kChunkHeaderBytes < payload_bytes) {
-      irregular = true; // torn mid-payload
-      break;
-    }
-    if (type == kChunkEof && n_records == 0 && payload_bytes == 0 &&
-        payload_crc == crc32(body.data(), 0)) {
-      eof_seen = true;
-    } else if (type == kChunkMarkers || type == kChunkSamples ||
-               type == kChunkWaitEdges || is_compressed_chunk_type(type)) {
-      chunks.push_back({type, n_records, pos + kChunkHeaderBytes,
-                        payload_bytes, payload_crc});
-    } else {
-      irregular = true; // unknown type (or malformed eof) is corrupt
-      break;
-    }
-    pos += kChunkHeaderBytes + payload_bytes;
-  }
-  if (irregular || !eof_seen) {
-    V2Metrics::get().fallbacks.inc();
-    return read_trace_v2_body(body);
-  }
-
-  // Payload pass: CRC + decode of each chunk is independent; results land
-  // in per-chunk slots and are concatenated in chunk order, which is
-  // exactly the order the sequential parser appends them in.
-  std::vector<TraceData> parts(chunks.size());
-  std::atomic<bool> any_bad{false};
-  pool.parallel_for(chunks.size(), [&](std::size_t i) {
-    const ChunkRef& c = chunks[i];
-    const std::string_view payload = body.substr(c.payload_at, c.payload_bytes);
-    bool ok = c.payload_crc == crc32(payload.data(), payload.size());
-    if (ok) {
-      ok = c.type == kChunkMarkers
-               ? decode_markers(payload, c.n_records, parts[i].markers)
-           : c.type == kChunkSamples
-               ? decode_samples(payload, c.n_records, parts[i].samples)
-           : c.type == kChunkWaitEdges
-               ? decode_wait_edges(payload, c.n_records, parts[i].wait_edges)
-               : decode_compressed_chunk(c.type, payload, c.n_records,
-                                         parts[i]);
-    }
-    if (!ok) any_bad.store(true, std::memory_order_relaxed);
-  });
-  if (any_bad.load()) {
-    V2Metrics::get().fallbacks.inc();
-    return read_trace_v2_body(body);
-  }
-  V2Metrics::get().chunks.inc(chunks.size());
-
-  std::size_t n_markers = 0;
-  std::size_t n_samples = 0;
-  std::size_t n_waits = 0;
-  for (const TraceData& p : parts) {
-    n_markers += p.markers.size();
-    n_samples += p.samples.size();
-    n_waits += p.wait_edges.size();
-  }
-  TraceData out;
-  out.markers.reserve(n_markers);
-  out.samples.reserve(n_samples);
-  out.wait_edges.reserve(n_waits);
-  for (TraceData& p : parts) {
-    out.markers.insert(out.markers.end(), p.markers.begin(), p.markers.end());
-    out.samples.insert(out.samples.end(), p.samples.begin(), p.samples.end());
-    out.wait_edges.insert(out.wait_edges.end(), p.wait_edges.begin(),
-                          p.wait_edges.end());
-  }
-  return out;
 }
 
 void save_trace_v2(const std::string& path, const TraceData& data,

@@ -19,14 +19,22 @@
 // Records use the v1 field encoding (little-endian, fixed width), so an
 // intact chunk decodes byte-identically to what was written.
 //
-// Two readers:
-//   * read_trace() (trace_file.hpp) dispatches on the version field and
-//     parses v2 strictly — any damage throws TraceIoError;
+// One strict read, one tolerant one:
+//   * the strict read (read_trace_chunked, behind TraceReader::read and
+//     read_parallel) indexes the chunk headers with index_trace_v2 and
+//     decodes every chunk with decode_trace_v2_chunk — inline on one
+//     thread, on a pool otherwise, the same result either way. Any
+//     damage throws TraceIoError. A clean file is index_trace_v2's: an
+//     intact header, intact chunks, and the eof sentinel as the very
+//     last frame;
 //   * salvage_trace() recovers every intact chunk from a truncated or
 //     corrupted file: damaged payloads are skipped and counted, damaged
 //     headers are resynchronized by scanning for the next chunk magic,
 //     and an incomplete tail (the torn write) is discarded — never
-//     returned as data.
+//     returned as data. Chunks after the eof sentinel are recovered, but
+//     the file is reported as not clean.
+// Both walk the frames through one parser and decode payloads through
+// one decoder (chunk_util.hpp).
 #pragma once
 
 #include <cstddef>
@@ -36,10 +44,6 @@
 #include <vector>
 
 #include "fluxtrace/io/trace_file.hpp"
-
-namespace fluxtrace::rt {
-class ThreadPool;
-}
 
 namespace fluxtrace::io {
 
@@ -86,13 +90,15 @@ struct SalvageReport {
   std::uint64_t bytes_skipped = 0; ///< damaged bytes passed over mid-file
   std::uint64_t bytes_truncated = 0; ///< incomplete tail discarded
   bool header_ok = false;          ///< file magic + version were intact
-  bool eof_ok = false;             ///< the trailing eof chunk was intact
+  bool eof_ok = false;             ///< an intact eof chunk was found
+  std::size_t chunks_past_eof = 0; ///< frames found after the eof chunk
 
-  /// True when the file was read back in full with no damage.
+  /// True when the file was read back in full with no damage — exactly
+  /// when the strict read accepts it.
   [[nodiscard]] bool clean() const {
     return header_ok && eof_ok && chunks_corrupt == 0 &&
            chunks_resynced == 0 && bytes_skipped == 0 &&
-           bytes_truncated == 0;
+           bytes_truncated == 0 && chunks_past_eof == 0;
   }
 };
 
@@ -108,14 +114,14 @@ struct SalvageReport {
 /// this directly on its in-memory file bytes.
 [[nodiscard]] SalvageReport salvage_trace(std::string_view buf);
 
-/// Strict v2 body parser used by read_trace() after the version field;
-/// throws TraceIoError on any damage. Exposed for the io layer, not a
-/// public entry point.
-[[nodiscard]] TraceData read_trace_v2_body(std::istream& is);
-
-/// Buffer-based strict v2 body parse (`body` = the bytes after the
-/// 8-byte magic + version header). io-internal, used by TraceReader.
-[[nodiscard]] TraceData read_trace_v2_body(std::string_view body);
+/// The strict read of a whole chunked (v2 or v3) file image: index it,
+/// then decode every chunk — inline when n_threads <= 1, on a pool of
+/// n_threads otherwise; the result never depends on the thread count.
+/// On any damage, throws one TraceIoError that says what salvage_trace()
+/// would recover. io-internal: TraceReader::read / read_parallel and the
+/// legacy read_trace() use it.
+[[nodiscard]] TraceData read_trace_chunked(std::string_view file,
+                                           unsigned n_threads);
 
 // --- selective chunk access -------------------------------------------
 // The query engine (query/engine.cpp) decodes *subsets* of a v2 file:
@@ -128,8 +134,8 @@ inline constexpr std::uint8_t kChunkTypeSamples = 1;
 inline constexpr std::uint8_t kChunkTypeEof = 2;
 /// Wait edges (ISSUE 8): enter u64 | leave u64 | item u64 | waiter u32
 /// | holder u32 | resource u32 | cause u8, 37 bytes per record. Spooled
-/// alongside sample chunks; every reader (strict, parallel, salvage,
-/// follower) decodes them into TraceData::wait_edges.
+/// alongside sample chunks; every reader (strict, salvage, follower)
+/// decodes them into TraceData::wait_edges.
 inline constexpr std::uint8_t kChunkTypeWaitEdges = 3;
 
 /// One chunk's location in a v2 *file image* (header + chunks).
@@ -141,11 +147,12 @@ struct V2ChunkRef {
 };
 
 /// Strict header walk over a whole v2 file image: validates the file
-/// header, every chunk header CRC, and the trailing eof sentinel, and
-/// returns the data chunks in file order (the eof chunk is consumed, not
-/// returned). Payload CRCs are *not* checked here — that is per-chunk
-/// work decode_trace_v2_chunk() does on the chunks actually read. Throws
-/// TraceIoError on any structural damage.
+/// header, every chunk header CRC, and the trailing eof sentinel (which
+/// must be the last frame), and returns the data chunks in file order
+/// (the eof chunk is consumed, not returned). This walk is the one
+/// definition of a clean chunked file. Payload CRCs are *not* checked
+/// here — that is per-chunk work decode_trace_v2_chunk() does on the
+/// chunks actually read. Throws TraceIoError on any structural damage.
 [[nodiscard]] std::vector<V2ChunkRef> index_trace_v2(std::string_view file);
 
 /// Decode one indexed chunk's records into `out` (markers or samples,
@@ -154,30 +161,10 @@ struct V2ChunkRef {
 void decode_trace_v2_chunk(std::string_view file, const V2ChunkRef& ref,
                            TraceData& out);
 
-/// Column sink for decode_trace_v2_samples_columnar(): sample fields are
-/// appended straight into int64 columns, skipping the 148-byte
-/// PebsSample materialization entirely (the columnar store only ever
-/// reads ts/ip/core and, in register-id mode, one GPR — decoding the
-/// other 15 registers per record is pure waste on the query hot path).
-struct SampleColumnSink {
-  std::vector<std::int64_t>* tsc = nullptr;  ///< required
-  std::vector<std::int64_t>* ip = nullptr;   ///< required
-  std::vector<std::int64_t>* core = nullptr; ///< required
-  std::vector<std::int64_t>* reg = nullptr;  ///< optional: one GPR column
-  unsigned reg_index = 0;                    ///< which GPR fills `reg`
-};
-
-/// Decode one indexed *sample* chunk directly into columns. Identical
-/// validation to decode_trace_v2_chunk (payload CRC, size checks);
-/// throws TraceIoError on damage, a non-sample ref, or a ref that does
-/// not match `file`.
-void decode_trace_v2_samples_columnar(std::string_view file,
-                                      const V2ChunkRef& ref,
-                                      const SampleColumnSink& sink);
-
-/// Raw-pointer variant of the column sink for chunk-parallel decode: each
-/// worker writes its chunk's rows into a pre-sized disjoint slice of the
-/// shared columns, so no append coordination is needed.
+/// Column sink for chunk-parallel decode of sample fields straight into
+/// int64 columns (no PebsSample materialization): each worker writes its
+/// chunk's rows into a pre-sized disjoint slice of the shared columns, so
+/// no append coordination is needed.
 struct SampleColumnSlice {
   std::int64_t* tsc = nullptr;  ///< required
   std::int64_t* ip = nullptr;   ///< required
@@ -187,19 +174,11 @@ struct SampleColumnSlice {
 };
 
 /// Decode one indexed raw *sample* chunk into a slice: writes exactly
-/// ref.n_records values at each non-null pointer. Same validation and
-/// errors as decode_trace_v2_samples_columnar. (The compressed-chunk
+/// ref.n_records values at each non-null pointer. Same validation as
+/// decode_trace_v2_chunk (payload CRC, size checks). (The compressed-chunk
 /// counterpart is io::decode_v3_samples_into, v3.hpp.)
 void decode_trace_v2_samples_slice(std::string_view file,
                                    const V2ChunkRef& ref,
                                    const SampleColumnSlice& out);
-
-/// Chunk-parallel strict v2 body parse: one sequential index pass over
-/// the chunk headers, then payload CRC checks and record decodes run
-/// concurrently on `pool`, concatenated in chunk order — the result (and
-/// any damage error) is identical to the sequential parse. io-internal,
-/// used by TraceReader::read_parallel.
-[[nodiscard]] TraceData read_trace_v2_body_parallel(std::string_view body,
-                                                    rt::ThreadPool& pool);
 
 } // namespace fluxtrace::io

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 
+#include "fluxtrace/io/chunk_util.hpp"
 #include "fluxtrace/io/v3.hpp"
 #include "fluxtrace/obs/metrics.hpp"
 
@@ -29,19 +30,10 @@ struct FollowMetrics {
   }
 };
 
-constexpr std::size_t kFileHeaderBytes = 8;  // magic + version
-constexpr std::size_t kFrameHeaderBytes = 21; // magic+type+count+size+2 CRCs
-constexpr std::size_t kReadGranule = 256u << 10;
+using detail::peek_u32;
 
-std::uint32_t peek_u32(std::string_view b, std::size_t at) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(static_cast<unsigned char>(
-             b[at + static_cast<std::size_t>(i)]))
-         << (8 * i);
-  }
-  return v;
-}
+constexpr std::size_t kFileHeaderBytes = 8; // magic + version
+constexpr std::size_t kReadGranule = 256u << 10;
 
 } // namespace
 
@@ -224,12 +216,10 @@ void TraceFollower::parse_committed(std::uint64_t now_ns, PollResult& out) {
   const std::string_view v(buf_);
   while (!stats_.eof_seen) {
     const std::size_t avail = v.size() - parse_at_;
-    if (avail < kFrameHeaderBytes) break; // torn tail: not yet
+    const detail::Frame f = detail::parse_frame(v, parse_at_);
+    if (f.status == detail::FrameStatus::Torn) break; // torn tail: not yet
 
-    const bool header_ok =
-        peek_u32(v, parse_at_) == kChunkMagic &&
-        peek_u32(v, parse_at_ + 13) == crc32(v.data() + parse_at_, 13);
-    if (!header_ok) {
+    if (f.status == detail::FrameStatus::BadHeader) {
       // A frame header that stays invalid while the file keeps growing
       // past it is damage, not a tail. Resynchronize at the next chunk
       // magic, exactly like salvage_trace; within the slack window it is
@@ -251,69 +241,47 @@ void TraceFollower::parse_committed(std::uint64_t now_ns, PollResult& out) {
       continue;
     }
 
-    const std::uint8_t type = static_cast<std::uint8_t>(v[parse_at_ + 4]);
-    const std::uint32_t n_records = peek_u32(v, parse_at_ + 5);
-    const std::uint32_t payload_bytes = peek_u32(v, parse_at_ + 9);
-    const std::uint32_t payload_crc = peek_u32(v, parse_at_ + 17);
-    if (avail - kFrameHeaderBytes < payload_bytes) break; // torn mid-payload
-    const std::size_t frame = kFrameHeaderBytes + payload_bytes;
-
-    const std::string_view payload =
-        v.substr(parse_at_ + kFrameHeaderBytes, payload_bytes);
-    bool ok = payload_crc == crc32(payload.data(), payload.size());
-    if (ok && type == kChunkTypeEof && n_records == 0 && payload_bytes == 0) {
+    if (f.is_eof()) {
       stats_.eof_seen = true;
-      stats_.bytes_consumed += frame;
-      parse_at_ += frame;
+      stats_.bytes_consumed += f.bytes();
+      parse_at_ += f.bytes();
       out.progressed = true;
       break;
     }
-    if (ok && (type == kChunkTypeMarkers || type == kChunkTypeSamples ||
-               type == kChunkTypeWaitEdges ||
-               is_compressed_chunk_type(type))) {
-      const std::size_t m0 = out.data.markers.size();
-      const std::size_t s0 = out.data.samples.size();
-      const std::size_t w0 = out.data.wait_edges.size();
-      try {
-        const V2ChunkRef ref{parse_at_, type, n_records, payload_bytes};
-        decode_trace_v2_chunk(v, ref, out.data);
-      } catch (const TraceIoError&) {
-        out.data.markers.resize(m0);
-        out.data.samples.resize(s0);
-        out.data.wait_edges.resize(w0);
-        ok = false;
+    const std::size_t m0 = out.data.markers.size();
+    const std::size_t s0 = out.data.samples.size();
+    const std::size_t w0 = out.data.wait_edges.size();
+    if (f.payload_intact() &&
+        detail::decode_chunk_payload(f.type, f.payload, f.n_records,
+                                     out.data)) {
+      ++stats_.chunks_observed;
+      if (finishing) {
+        ++stats_.chunks_salvaged;
+        out.salvage = true;
+        FollowMetrics::get().salvaged.inc();
+      } else {
+        ++stats_.chunks_consumed;
+        FollowMetrics::get().chunks.inc();
       }
-      if (ok) {
-        ++stats_.chunks_observed;
-        if (finishing) {
-          ++stats_.chunks_salvaged;
-          out.salvage = true;
-          FollowMetrics::get().salvaged.inc();
-        } else {
-          ++stats_.chunks_consumed;
-          FollowMetrics::get().chunks.inc();
-        }
-        stats_.records_markers += out.data.markers.size() - m0;
-        stats_.records_samples += out.data.samples.size() - s0;
-        stats_.records_wait_edges += out.data.wait_edges.size() - w0;
-        stats_.bytes_consumed += frame;
-        ++out.chunks;
-        out.progressed = true;
-        parse_at_ += frame;
-        continue;
-      }
-    } else if (ok) {
-      ok = false; // unknown chunk type (or malformed eof sentinel)
+      stats_.records_markers += out.data.markers.size() - m0;
+      stats_.records_samples += out.data.samples.size() - s0;
+      stats_.records_wait_edges += out.data.wait_edges.size() - w0;
+      stats_.bytes_consumed += f.bytes();
+      ++out.chunks;
+      out.progressed = true;
+      parse_at_ += f.bytes();
+      continue;
     }
-    // Valid header, damaged payload/records: the frame is fully present,
-    // so waiting cannot heal it (appends never rewrite). Skip it whole.
+    // Valid header, damaged payload/records, an unknown chunk type or a
+    // malformed eof sentinel: the frame is fully present, so waiting
+    // cannot heal it (appends never rewrite). Skip it whole.
     ++stats_.chunks_observed;
     ++stats_.chunks_torn;
     ++stats_.resyncs;
-    stats_.bytes_skipped += frame;
+    stats_.bytes_skipped += f.bytes();
     FollowMetrics::get().torn.inc();
     FollowMetrics::get().resyncs.inc();
-    parse_at_ += frame;
+    parse_at_ += f.bytes();
   }
   drop_consumed_prefix();
 }

@@ -11,27 +11,19 @@
 #include <sstream>
 #include <thread>
 
+#include "fluxtrace/io/chunk_util.hpp"
 #include "fluxtrace/io/compact.hpp"
 #include "fluxtrace/io/legacy.hpp"
 #include "fluxtrace/io/mmap_source.hpp"
 #include "fluxtrace/io/v3.hpp"
 #include "fluxtrace/obs/metrics.hpp"
 #include "fluxtrace/obs/span.hpp"
-#include "fluxtrace/rt/thread_pool.hpp"
 
 namespace fluxtrace::io {
 
 namespace {
 
-std::uint32_t peek_u32(std::string_view b, std::size_t at) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(
-             static_cast<std::uint8_t>(b[at + static_cast<std::size_t>(i)]))
-         << (8 * i);
-  }
-  return v;
-}
+using detail::peek_u32;
 
 // LEB128 probe for the FLXZ header, which (unlike FLXT's raw u32s) writes
 // its magic and version as varints. Advances `pos` past the value.
@@ -166,6 +158,23 @@ std::string_view TraceReader::safe_view(bool* did_shrink) const {
 
 TraceData TraceReader::read() const {
   OBS_SPAN("io.read");
+  return read_strict(1);
+}
+
+TraceData TraceReader::read_parallel(unsigned n_threads) const {
+  OBS_SPAN("io.read_parallel");
+  const unsigned n = n_threads != 0
+                         ? n_threads
+                         : std::max(1u, std::thread::hardware_concurrency());
+  // Only the chunked formats split into independent chunks. v1 and FLXZ
+  // are single streams (FLXZ carries decoder state — deltas, per-core
+  // runs — through the whole stream), and Unknown throws the same error
+  // either way: all of them take the one-thread read.
+  if (n <= 1 || !is_chunked_format(format_)) return read();
+  return read_strict(n);
+}
+
+TraceData TraceReader::read_strict(unsigned n_threads) const {
   IoMetrics::get().reads.inc();
   IoMetrics::get().bytes.inc(view_.size());
   try {
@@ -178,12 +187,10 @@ TraceData TraceReader::read() const {
                          std::to_string(whole.size()) + " of " +
                          std::to_string(view_.size()) + " bytes remain)");
     }
-    const std::string_view body =
-        whole.substr(std::min<std::size_t>(8, whole.size()));
     switch (format_) {
-      case TraceFormat::FlxtV1: return read_trace_v1_body(body);
+      case TraceFormat::FlxtV1: return read_trace_v1_body(whole.substr(8));
       case TraceFormat::FlxtV2:
-      case TraceFormat::FlxtV3: return read_trace_v2_body(body);
+      case TraceFormat::FlxtV3: return read_trace_chunked(whole, n_threads);
       case TraceFormat::Flxz: {
         std::istringstream is{std::string(whole)};
         return read_compact(is);
@@ -196,39 +203,6 @@ TraceData TraceReader::read() const {
                          std::to_string(peek_u32(whole, 4)));
     }
     throw TraceIoError("not a fluxtrace file (bad magic)");
-  } catch (const TraceIoError& e) {
-    if (path_.empty()) throw;
-    throw TraceIoError(std::string(e.what()) + ": " + path_);
-  }
-}
-
-TraceData TraceReader::read_parallel(unsigned n_threads) const {
-  unsigned n = n_threads != 0
-                   ? n_threads
-                   : std::max(1u, std::thread::hardware_concurrency());
-  // FLXZ carries decoder state (deltas, per-core runs) through the whole
-  // stream, so it cannot be split; Unknown throws the same error either
-  // way. Both take the sequential path, as does a one-thread request.
-  if (n <= 1 || format_ == TraceFormat::Flxz ||
-      format_ == TraceFormat::Unknown) {
-    return read();
-  }
-  OBS_SPAN("io.read_parallel");
-  IoMetrics::get().reads.inc();
-  IoMetrics::get().bytes.inc(view_.size());
-  try {
-    bool shrank = false;
-    const std::string_view whole = safe_view(&shrank);
-    if (shrank) {
-      throw TraceIoError("file truncated while mapped (" +
-                         std::to_string(whole.size()) + " of " +
-                         std::to_string(view_.size()) + " bytes remain)");
-    }
-    const std::string_view body = whole.substr(8);
-    rt::ThreadPool pool(n);
-    return format_ == TraceFormat::FlxtV1
-               ? read_trace_v1_body_parallel(body, pool)
-               : read_trace_v2_body_parallel(body, pool);
   } catch (const TraceIoError& e) {
     if (path_.empty()) throw;
     throw TraceIoError(std::string(e.what()) + ": " + path_);

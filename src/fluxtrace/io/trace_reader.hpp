@@ -5,11 +5,11 @@
 // and hands back a TraceReader that can
 //
 //   * read()            — strict parse, TraceIoError on any damage;
-//   * read_parallel(n)  — same result, decoded on n threads (v1 splits
-//                         into fixed-size record blocks, v2 decodes
-//                         chunks concurrently; FLXZ is a delta-coded
-//                         varint stream with carried state, so it falls
-//                         back to the sequential parse);
+//   * read_parallel(n)  — the same strict parse with the chunks of a v2/v3
+//                         file decoded on n threads: same result, same
+//                         errors. v1 and FLXZ are single streams (FLXZ
+//                         carries decoder state through the whole
+//                         stream) and always read on one thread;
 //   * salvage()         — best-effort recovery, never throws on damage
 //                         (v2 recovers per chunk; v1/FLXZ are all-or-
 //                         nothing monolithic streams).
@@ -85,9 +85,9 @@ class TraceReader {
   [[nodiscard]] TraceData read() const;
 
   /// read() decoded on `n_threads` workers (0 = hardware concurrency).
-  /// Returns exactly what read() returns — the thread count is never
-  /// observable in the result. n_threads <= 1 and FLXZ input run the
-  /// sequential parse.
+  /// Returns exactly what read() returns, and throws exactly what it
+  /// throws — the thread count is never observable. Only chunked
+  /// (v2/v3) input splits; n_threads <= 1, v1 and FLXZ run read().
   [[nodiscard]] TraceData read_parallel(unsigned n_threads = 0) const;
 
   /// Best-effort recovery; never throws on damaged content. FLXT v2 (and
@@ -111,6 +111,10 @@ class TraceReader {
   TraceReader(std::shared_ptr<MmapByteSource> mmap, std::string path);
 
  private:
+  /// The strict parse behind read() and read_parallel(): n_threads only
+  /// sets how many workers decode the chunks of a chunked image.
+  [[nodiscard]] TraceData read_strict(unsigned n_threads) const;
+
   /// The still-backed prefix of the view: the whole view normally, a
   /// clamp to the file's current size when a mapped file shrank under
   /// us (pages below the current size are always safe to touch). Strict

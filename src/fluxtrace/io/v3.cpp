@@ -19,6 +19,7 @@ using codec::ColumnCodec;
 using detail::app_u8;
 using detail::app_u32;
 using detail::app_u64;
+using detail::checked_payload;
 using detail::peek_u8;
 using detail::peek_u32;
 using detail::peek_u64;
@@ -239,30 +240,6 @@ struct ColRef {
     e.cause = static_cast<WaitCause>(v[6][i]);
   }
   return true;
-}
-
-/// Bounds- and CRC-check a compressed chunk ref against the file image
-/// and return its payload. Throws TraceIoError.
-[[nodiscard]] std::string_view checked_payload(std::string_view file,
-                                               const V2ChunkRef& ref) {
-  if (!is_compressed_chunk_type(ref.type)) {
-    throw TraceIoError("not a compressed chunk at offset " +
-                       std::to_string(ref.offset));
-  }
-  if (ref.offset > file.size() ||
-      file.size() - ref.offset <
-          detail::kChunkHeaderBytes + static_cast<std::size_t>(
-                                          ref.payload_bytes)) {
-    throw TraceIoError("chunk ref outside file at offset " +
-                       std::to_string(ref.offset));
-  }
-  const std::string_view payload =
-      file.substr(ref.offset + detail::kChunkHeaderBytes, ref.payload_bytes);
-  if (crc32(payload.data(), payload.size()) != peek_u32(file, ref.offset + 17)) {
-    throw TraceIoError("payload CRC mismatch at offset " +
-                       std::to_string(ref.offset));
-  }
-  return payload;
 }
 
 } // namespace

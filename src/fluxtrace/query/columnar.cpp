@@ -1,7 +1,6 @@
 #include "fluxtrace/query/columnar.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <limits>
 #include <map>
 #include <thread>
@@ -355,20 +354,11 @@ ColumnarTrace ColumnarTrace::from_reader(const io::TraceReader& reader,
       if (n <= 1 || schunks.size() <= 1) {
         for (const SampleChunk& sc : schunks) decode_one(sc);
       } else {
-        // Damage inside a worker may not throw across the pool: flag it
-        // and let the strict fallback reproduce the exact diagnostics.
-        std::atomic<bool> any_bad{false};
+        // parallel_for rethrows a worker's TraceIoError once every chunk
+        // is done; the catch below then takes the read-or-salvage path.
         rt::ThreadPool pool(std::min<std::size_t>(n, schunks.size()));
-        pool.parallel_for(schunks.size(), [&](std::size_t k) {
-          try {
-            decode_one(schunks[k]);
-          } catch (const io::TraceIoError&) {
-            any_bad.store(true, std::memory_order_relaxed);
-          }
-        });
-        if (any_bad.load()) {
-          throw io::TraceIoError("damaged sample chunk in parallel decode");
-        }
+        pool.parallel_for(schunks.size(),
+                          [&](std::size_t k) { decode_one(schunks[k]); });
       }
       t.attribute(marker_data.markers, symtab, opts);
       t.build_zones();

@@ -391,163 +391,113 @@ QueryEngine::Loaded QueryEngine::load_for(const Query& q,
     }
   }
 
-  if (may_prune && index_.has_value()) {
-    const bool no_ts_prune = q.references_dur();
-    std::vector<io::V2ChunkRef> refs;
-    bool layout_ok = true;
-    try {
-      refs = io::index_trace_v2(reader_.bytes());
-    } catch (const io::TraceIoError&) {
-      layout_ok = false;
-    }
+  // Two sources can prune sample chunks: the FLXI sidecar's zone maps,
+  // and — before any sidecar exists — the encode-time min/max ts hint a
+  // v3 compressed chunk carries at a fixed payload offset (v3.hpp). The
+  // hint covers only the time column, so it is useless for item/func
+  // predicates, and like FLXI ts pruning it is unsound once the query
+  // references dur (durations attribute across chunk boundaries). A
+  // chunk whose payload fails the frame CRC reports hint.ok == false and
+  // is decoded the hard way instead.
+  const bool use_flxi = may_prune && index_.has_value();
+  const bool use_hint = may_prune && !index_.has_value() &&
+                        reader_.format() == io::TraceFormat::FlxtV3 &&
+                        !q.references_dur() && !hints.ts.full();
+  const auto full_scan = [&] {
+    ensure_full_loaded();
+    out.table = &*full_;
+    out.stats.chunks_total = chunks_total_;
+    out.stats.chunks_read = chunks_total_;
+    out.stats.salvaged = full_salvaged_;
+    out.stats.index_written = index_written_;
+    return out;
+  };
+  if (!use_flxi && !use_hint) return full_scan();
+
+  const std::string_view bytes = reader_.bytes();
+  std::vector<io::V2ChunkRef> refs;
+  try {
+    refs = io::index_trace_v2(bytes);
+  } catch (const io::TraceIoError&) {
+    return full_scan(); // damage: the full scan salvages
+  }
+  if (use_flxi) {
     // The validated index must describe exactly the sample chunks the
     // walk sees; anything else means it lied and a full scan is safer.
-    std::vector<const io::V2ChunkRef*> sample_refs;
-    if (layout_ok) {
-      for (const io::V2ChunkRef& r : refs) {
-        if (io::is_sample_chunk_type(r.type)) sample_refs.push_back(&r);
+    std::size_t i = 0;
+    for (const io::V2ChunkRef& r : refs) {
+      if (!io::is_sample_chunk_type(r.type)) continue;
+      if (i >= index_->chunks.size() || r.offset != index_->chunks[i].offset) {
+        return full_scan();
       }
-      if (sample_refs.size() != index_->chunks.size()) layout_ok = false;
-      for (std::size_t i = 0; layout_ok && i < sample_refs.size(); ++i) {
-        if (sample_refs[i]->offset != index_->chunks[i].offset) {
-          layout_ok = false;
-        }
-      }
+      ++i;
     }
-    if (layout_ok) {
-      io::TraceData subset;
-      bool decode_ok = true;
-      std::size_t kept = 0;
-      std::size_t pruned_compressed = 0;
-      try {
-        for (const io::V2ChunkRef& r : refs) {
-          if (io::is_marker_chunk_type(r.type)) {
-            io::decode_trace_v2_chunk(reader_.bytes(), r, subset);
-          }
-        }
-        for (std::size_t i = 0; i < sample_refs.size(); ++i) {
-          const FlxiChunk& c = index_->chunks[i];
-          bool keep = c.n_records > 0;
-          if (keep && !no_ts_prune && !hints.ts.full()) {
-            keep = !hints.ts.empty() &&
-                   hints.ts.intersects(c.min_ts, c.max_ts);
-          }
-          if (keep && !hints.item.full()) {
-            keep = !hints.item.empty() &&
-                   hints.item.intersects(c.min_item, c.max_item);
-          }
-          if (keep && hints.funcs.has_value()) {
-            bool any = false;
-            auto it = hints.funcs->begin();
-            for (const auto& [fn, cnt] : c.func_counts) {
-              while (it != hints.funcs->end() && *it < fn) ++it;
-              if (it == hints.funcs->end()) break;
-              if (*it == fn) {
-                any = true;
-                break;
-              }
-            }
-            keep = any;
-          }
-          if (!keep) {
-            if (io::is_compressed_chunk_type(sample_refs[i]->type)) {
-              ++pruned_compressed;
-            }
-            continue;
-          }
-          ++kept;
-          io::decode_trace_v2_chunk(reader_.bytes(), *sample_refs[i],
-                                    subset);
-        }
-      } catch (const io::TraceIoError&) {
-        decode_ok = false; // index was stale after all: full scan below
-      }
-      if (decode_ok) {
-        scratch = ColumnarTrace::build(
-            subset, symtab_,
-            BuildOptions{opts_.use_register_ids, opts_.block_rows});
-        out.table = &*scratch;
-        out.stats.chunks_total = index_->chunks.size();
-        out.stats.chunks_read = kept;
-        out.stats.chunks_pruned = index_->chunks.size() - kept;
-        out.stats.chunks_pruned_compressed = pruned_compressed;
-        out.stats.index_used = true;
-        QueryMetrics::get().index_hits.inc();
-        QueryMetrics::get().chunks_pruned.inc(out.stats.chunks_pruned);
-        QueryMetrics::get().chunks_pruned_compressed.inc(pruned_compressed);
-        return out;
-      }
-    }
+    if (i != index_->chunks.size()) return full_scan();
   }
+  // Whether sample chunk number `i` (counting sample chunks only) may
+  // hold a matching row.
+  const auto keep = [&](std::size_t i, const io::V2ChunkRef& r) {
+    if (use_hint) {
+      if (!io::is_compressed_chunk_type(r.type)) return true;
+      const io::V3ZoneHint hint = io::read_v3_zone_hint(bytes, r);
+      return !hint.ok || (!hints.ts.empty() &&
+                          hints.ts.intersects(hint.min_ts, hint.max_ts));
+    }
+    const FlxiChunk& c = index_->chunks[i];
+    if (c.n_records == 0) return false;
+    if (!q.references_dur() && !hints.ts.full() &&
+        (hints.ts.empty() || !hints.ts.intersects(c.min_ts, c.max_ts))) {
+      return false;
+    }
+    if (!hints.item.full() &&
+        (hints.item.empty() ||
+         !hints.item.intersects(c.min_item, c.max_item))) {
+      return false;
+    }
+    if (!hints.funcs.has_value()) return true;
+    auto it = hints.funcs->begin();
+    for (const auto& [fn, cnt] : c.func_counts) {
+      while (it != hints.funcs->end() && *it < fn) ++it;
+      if (it == hints.funcs->end()) return false;
+      if (*it == fn) return true;
+    }
+    return false;
+  };
 
-  // Sidecar-free pruning: v3 compressed chunks carry an encode-time
-  // min/max ts hint at a fixed payload offset (v3.hpp), so a ts-selective
-  // query can skip chunks without inflating them even before any FLXI
-  // sidecar exists. The hint covers only the time column, so it is
-  // useless for item/func predicates, and like FLXI ts pruning it is
-  // unsound once the query references dur (durations attribute across
-  // chunk boundaries). A chunk whose payload fails the frame CRC reports
-  // hint.ok == false and is decoded the hard way instead.
-  if (may_prune && !index_.has_value() &&
-      reader_.format() == io::TraceFormat::FlxtV3 && !q.references_dur() &&
-      !hints.ts.full()) {
-    bool walk_ok = true;
-    std::vector<io::V2ChunkRef> refs;
-    try {
-      refs = io::index_trace_v2(reader_.bytes());
-    } catch (const io::TraceIoError&) {
-      walk_ok = false;
-    }
-    if (walk_ok) {
-      io::TraceData subset;
-      std::size_t total = 0;
-      std::size_t kept = 0;
-      std::size_t pruned_compressed = 0;
-      try {
-        for (const io::V2ChunkRef& r : refs) {
-          if (io::is_marker_chunk_type(r.type)) {
-            io::decode_trace_v2_chunk(reader_.bytes(), r, subset);
-            continue;
-          }
-          if (!io::is_sample_chunk_type(r.type)) continue;
-          ++total;
-          if (io::is_compressed_chunk_type(r.type)) {
-            const io::V3ZoneHint hint =
-                io::read_v3_zone_hint(reader_.bytes(), r);
-            if (hint.ok && (hints.ts.empty() ||
-                            !hints.ts.intersects(hint.min_ts, hint.max_ts))) {
-              ++pruned_compressed;
-              continue;
-            }
-          }
-          ++kept;
-          io::decode_trace_v2_chunk(reader_.bytes(), r, subset);
-        }
-      } catch (const io::TraceIoError&) {
-        walk_ok = false; // damage: the full scan below salvages
+  // One walk: every marker chunk decodes (attribution needs them all),
+  // each sample chunk only when keep() accepts it, wait edges never.
+  io::TraceData subset;
+  std::size_t total = 0;
+  std::size_t kept = 0;
+  std::size_t pruned_compressed = 0;
+  try {
+    for (const io::V2ChunkRef& r : refs) {
+      if (io::is_marker_chunk_type(r.type)) {
+        io::decode_trace_v2_chunk(bytes, r, subset);
+        continue;
       }
-      if (walk_ok) {
-        scratch = ColumnarTrace::build(
-            subset, symtab_,
-            BuildOptions{opts_.use_register_ids, opts_.block_rows});
-        out.table = &*scratch;
-        out.stats.chunks_total = total;
-        out.stats.chunks_read = kept;
-        out.stats.chunks_pruned = total - kept;
-        out.stats.chunks_pruned_compressed = pruned_compressed;
-        QueryMetrics::get().chunks_pruned.inc(out.stats.chunks_pruned);
-        QueryMetrics::get().chunks_pruned_compressed.inc(pruned_compressed);
-        return out;
+      if (!io::is_sample_chunk_type(r.type)) continue;
+      if (!keep(total++, r)) {
+        if (io::is_compressed_chunk_type(r.type)) ++pruned_compressed;
+        continue;
       }
+      ++kept;
+      io::decode_trace_v2_chunk(bytes, r, subset);
     }
+  } catch (const io::TraceIoError&) {
+    return full_scan(); // damage, or a stale index after all
   }
-
-  ensure_full_loaded();
-  out.table = &*full_;
-  out.stats.chunks_total = chunks_total_;
-  out.stats.chunks_read = chunks_total_;
-  out.stats.salvaged = full_salvaged_;
-  out.stats.index_written = index_written_;
+  scratch = ColumnarTrace::build(
+      subset, symtab_, BuildOptions{opts_.use_register_ids, opts_.block_rows});
+  out.table = &*scratch;
+  out.stats.chunks_total = total;
+  out.stats.chunks_read = kept;
+  out.stats.chunks_pruned = total - kept;
+  out.stats.chunks_pruned_compressed = pruned_compressed;
+  out.stats.index_used = use_flxi;
+  if (use_flxi) QueryMetrics::get().index_hits.inc();
+  QueryMetrics::get().chunks_pruned.inc(out.stats.chunks_pruned);
+  QueryMetrics::get().chunks_pruned_compressed.inc(pruned_compressed);
   return out;
 }
 

@@ -99,9 +99,12 @@ TEST(BTree, ScanPastEndTruncates) {
 }
 
 // Property test: random operations against a std::map oracle.
+// Both fields are 64-bit so the struct has no padding: gtest names each case
+// after the raw bytes of its parameter, and uninitialised padding bytes would
+// make those names change from run to run.
 struct OracleParam {
   std::uint64_t seed;
-  std::uint32_t order;
+  std::uint64_t order;
 };
 
 class BTreeOracleTest : public ::testing::TestWithParam<OracleParam> {};
@@ -114,7 +117,7 @@ TEST_P(BTreeOracleTest, MatchesMapOracle) {
     return state >> 17;
   };
 
-  BTree tree(order);
+  BTree tree(static_cast<std::uint32_t>(order));
   std::map<std::uint64_t, std::uint64_t> oracle;
   for (int i = 0; i < 3000; ++i) {
     const std::uint64_t key = rnd() % 1500; // collisions guaranteed

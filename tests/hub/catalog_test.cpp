@@ -18,6 +18,7 @@
 #include "fluxtrace/io/trace_reader.hpp"
 #include "fluxtrace/io/v3.hpp"
 #include "fluxtrace/query/flxi.hpp"
+#include "support/test_dir.hpp"
 
 namespace fluxtrace::hub {
 namespace {
@@ -61,8 +62,7 @@ Session make_session(std::size_t base_item, std::size_t n_items,
 struct CatalogFixture : ::testing::Test {
   void SetUp() override {
     static int n = 0;
-    dir = ::testing::TempDir() + "/hub_cat_" + std::to_string(::getpid()) +
-          "_" + std::to_string(n++);
+    dir = test_support::test_dir() + "/hub_cat_" + std::to_string(n++);
     ::mkdir(dir.c_str(), 0755);
     symtab = make_session(0, 1).symtab; // shared symbol universe
   }

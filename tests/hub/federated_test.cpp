@@ -15,6 +15,7 @@
 
 #include "fluxtrace/io/chunked.hpp"
 #include "fluxtrace/query/render.hpp"
+#include "support/test_dir.hpp"
 
 namespace fluxtrace::query {
 namespace {
@@ -71,8 +72,7 @@ Fleet make_fleet(const std::string& dir, std::size_t n_members,
 
 std::string fresh_dir(const char* tag) {
   static int n = 0;
-  const std::string dir = ::testing::TempDir() + "/fed_" + tag + "_" +
-                          std::to_string(::getpid()) + "_" +
+  const std::string dir = test_support::test_dir() + "/fed_" + tag + "_" +
                           std::to_string(n++);
   ::mkdir(dir.c_str(), 0755);
   return dir;

@@ -12,13 +12,15 @@
 
 #include <unistd.h>
 
+#include "support/test_dir.hpp"
+
 namespace fluxtrace::hub {
 namespace {
 
 std::string unique_path(const char* tag) {
   static int n = 0;
-  return ::testing::TempDir() + "/manifest_" + tag + "_" +
-         std::to_string(::getpid()) + "_" + std::to_string(n++) + ".flxh";
+  return test_support::test_dir() + "/manifest_" + tag + "_" +
+         std::to_string(n++) + ".flxh";
 }
 
 TraceEntry entry(const std::string& path, TraceState state = TraceState::Ok,

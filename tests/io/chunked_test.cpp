@@ -10,6 +10,7 @@
 // These tests deliberately exercise the legacy read_trace() dispatch,
 // now io-internal plumbing (io/legacy.hpp) behind io::open_trace().
 #include "fluxtrace/io/legacy.hpp"
+#include "support/test_dir.hpp"
 
 namespace fluxtrace::io {
 namespace {
@@ -84,7 +85,7 @@ TEST(ChunkedTrace, RoundTripAtVariousChunkSizes) {
 
 TEST(ChunkedTrace, SaveAndLoadFile) {
   const TraceData d = sample_data(30, 80);
-  const std::string path = ::testing::TempDir() + "/flxt_v2_test.trace";
+  const std::string path = test_support::test_path("flxt_v2_test.trace");
   save_trace_v2(path, d);
   const SalvageReport rep = salvage_trace_file(path);
   EXPECT_TRUE(rep.clean());

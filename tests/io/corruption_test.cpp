@@ -14,6 +14,7 @@
 // points, now io-internal plumbing (io/legacy.hpp) behind
 // io::open_trace().
 #include "fluxtrace/io/legacy.hpp"
+#include "support/test_dir.hpp"
 
 namespace fluxtrace::io {
 namespace {
@@ -158,7 +159,7 @@ TEST(TraceCorruption, PathErrorsCarryContext) {
 
 TEST(TraceCorruption, CompactSaveLoadRoundTrip) {
   const TraceData d = small_data(11);
-  const std::string path = ::testing::TempDir() + "/flxz_test.flxz";
+  const std::string path = test_support::test_path("flxz_test.flxz");
   save_compact(path, d);
   const TraceData back = load_compact(path);
   // Compact is lossy in GPRs other than R13 and re-sorts by (core, tsc);

@@ -19,6 +19,7 @@
 #include "fluxtrace/io/chunked.hpp"
 #include "fluxtrace/io/resilient.hpp"
 #include "fluxtrace/sim/fault.hpp"
+#include "support/test_dir.hpp"
 
 namespace fluxtrace::io {
 namespace {
@@ -67,7 +68,7 @@ void append_file(const std::string& path, const std::string& bytes) {
 }
 
 std::string temp_path(const char* name) {
-  return ::testing::TempDir() + "/" + name;
+  return test_support::test_path(name);
 }
 
 /// Poll until finished or `max` polls, stepping the virtual clock.

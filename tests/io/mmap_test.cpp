@@ -17,6 +17,7 @@
 #include "fluxtrace/io/chunked.hpp"
 #include "fluxtrace/io/trace_reader.hpp"
 #include "fluxtrace/io/v3.hpp"
+#include "support/test_dir.hpp"
 
 namespace fluxtrace::io {
 namespace {
@@ -44,7 +45,7 @@ void write_file(const std::string& path, const std::string& bytes) {
 }
 
 std::string temp_path(const char* name) {
-  return ::testing::TempDir() + "/" + name;
+  return test_support::test_path(name);
 }
 
 std::string v2_file(const std::string& path, const TraceData& d,

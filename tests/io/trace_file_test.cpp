@@ -8,6 +8,7 @@
 // entry points, now io-internal plumbing (io/legacy.hpp) behind
 // io::open_trace().
 #include "fluxtrace/io/legacy.hpp"
+#include "support/test_dir.hpp"
 
 namespace fluxtrace::io {
 namespace {
@@ -119,7 +120,7 @@ TEST(TraceFile, RejectsInsaneCounts) {
 
 TEST(TraceFile, SaveAndLoadFile) {
   const TraceData d = sample_data(20, 100);
-  const std::string path = ::testing::TempDir() + "/flxt_test.trace";
+  const std::string path = test_support::test_path("flxt_test.trace");
   save_trace(path, d);
   EXPECT_EQ(load_trace(path), d);
 }

@@ -7,10 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <fstream>
 #include <sstream>
 
 #include "fluxtrace/io/compact.hpp"
+#include "fluxtrace/io/v3.hpp"
+#include "fluxtrace/query/columnar.hpp"
+#include "support/test_dir.hpp"
 
 namespace fluxtrace::io {
 namespace {
@@ -94,7 +99,7 @@ TEST(TraceReader, FormatNames) {
 
 TEST(TraceReader, OpensFromFile) {
   const TraceData d = sample_data(10, 40);
-  const std::string path = ::testing::TempDir() + "/reader_test.flxt";
+  const std::string path = test_support::test_path("reader_test.flxt");
   save_trace(path, d);
   const TraceReader r = open_trace(path);
   EXPECT_EQ(r.format(), TraceFormat::FlxtV1);
@@ -114,7 +119,7 @@ TEST(TraceReader, MissingFileThrowsWithPath) {
 }
 
 TEST(TraceReader, FileReadErrorsCarryThePath) {
-  const std::string path = ::testing::TempDir() + "/reader_garbage.bin";
+  const std::string path = test_support::test_path("reader_garbage.bin");
   {
     std::ofstream os(path, std::ios::binary);
     os << std::string(64, '\x11');
@@ -152,26 +157,143 @@ TEST(TraceReader, ParallelReadFallsBackForFlxz) {
   EXPECT_EQ(r.read_parallel(4), r.read());
 }
 
+// What one strict-read call made of a trace: its data, or its error.
+struct Outcome {
+  bool ok = false;
+  TraceData data;
+  std::string error;
+};
+
+template <typename Read>
+Outcome outcome_of(Read&& read) {
+  Outcome o;
+  try {
+    o.data = read();
+    o.ok = true;
+  } catch (const TraceIoError& e) {
+    o.error = e.what();
+  }
+  return o;
+}
+
+// Every strict read of a chunked trace is one path: read(), read_parallel
+// at any thread count, the columnar open, and classify_trace must agree
+// on accept or reject, on the data, and on the error text.
 TEST(TraceReader, ParallelReadOfDamagedV2ThrowsLikeSequential) {
-  const TraceData d = sample_data(100, 400, 10);
-  std::string bytes = v2_bytes(d, 32);
-  bytes[bytes.size() / 2] ^= 0x40; // flip a payload byte mid-file
-  const TraceReader r = open_trace_bytes(bytes);
-  std::string seq_err;
-  std::string par_err;
-  try {
-    (void)r.read();
-  } catch (const TraceIoError& e) {
-    seq_err = e.what();
+  TraceData d = sample_data(100, 400, 10);
+  for (std::uint64_t i = 0; i < 50; ++i) {
+    WaitEdge e;
+    e.enter = 1000 + i * 10;
+    e.leave = 1005 + i * 10;
+    e.item = i;
+    e.waiter_core = static_cast<std::uint32_t>(i % 4);
+    e.holder_core = static_cast<std::uint32_t>((i + 1) % 4);
+    e.resource = static_cast<std::uint32_t>(i % 3);
+    e.cause = static_cast<WaitCause>(i % kNumWaitCauses);
+    d.wait_edges.push_back(e);
   }
-  try {
-    (void)r.read_parallel(4);
-  } catch (const TraceIoError& e) {
-    par_err = e.what();
+  const std::string clean_v2 = v2_bytes(d, 32);
+  std::ostringstream v3os;
+  write_trace_v3(v3os, d, 64);
+  const std::string clean_v3 = std::move(v3os).str();
+  // A v2 file whose samples a v3 writer appended: one chunk family.
+  std::string mixed = encode_v2_file_header();
+  mixed += encode_marker_chunk(d.markers.data(), d.markers.size());
+  mixed += encode_sample_chunk(d.samples.data(), 200);
+  mixed += encode_sample_chunk_v3(d.samples.data() + 200, 200);
+  mixed += encode_wait_chunk_v3(d.wait_edges.data(), d.wait_edges.size());
+  mixed += encode_eof_chunk();
+  const std::vector<V2ChunkRef> refs = index_trace_v2(clean_v2);
+  ASSERT_GT(refs.size(), 4u);
+  const std::size_t mid = refs[refs.size() / 2].offset;
+  std::string flipped = clean_v2;
+  flipped[mid + 21 + 3] ^= 0x40; // a payload byte of a middle chunk
+  std::string no_header = clean_v2;
+  no_header.replace(mid, 4, "XXXX"); // a middle chunk's magic
+  const std::string past_eof =
+      clean_v2 + encode_sample_chunk(d.samples.data(), 8);
+
+  struct Fixture {
+    const char* name;
+    std::string bytes;
+    bool clean;
+  };
+  const Fixture fixtures[] = {
+      {"clean v2", clean_v2, true},
+      {"clean v3", clean_v3, true},
+      {"mixed v2+v3", mixed, true},
+      {"torn tail", clean_v2.substr(0, clean_v2.size() * 2 / 3), false},
+      {"flipped payload byte", flipped, false},
+      {"destroyed chunk header", no_header, false},
+      {"chunk after the eof sentinel", past_eof, false},
+  };
+  SymbolTable symtab;
+  (void)symtab.add("fn", 0x4000);
+  for (const Fixture& f : fixtures) {
+    SCOPED_TRACE(f.name);
+    const TraceReader r = open_trace_bytes(f.bytes);
+    const Outcome seq = outcome_of([&] { return r.read(); });
+    ASSERT_EQ(seq.ok, f.clean) << seq.error;
+    if (f.clean) {
+      EXPECT_EQ(seq.data, d);
+    } else {
+      EXPECT_NE(seq.error.find("damaged v2 trace"), std::string::npos)
+          << seq.error;
+    }
+    for (const unsigned n : {1u, 2u, 4u}) {
+      const Outcome par = outcome_of([&] { return r.read_parallel(n); });
+      EXPECT_EQ(par.ok, seq.ok) << n << " threads";
+      EXPECT_EQ(par.data, seq.data) << n << " threads";
+      EXPECT_EQ(par.error, seq.error) << "damage diagnostics must not depend "
+                                         "on the thread count ("
+                                      << n << ")";
+    }
+
+    const TraceTriage t = classify_trace(r);
+    EXPECT_EQ(t.health == TraceHealth::Clean, seq.ok);
+    if (seq.ok) {
+      EXPECT_EQ(t.report.data, seq.data);
+    }
+
+    const query::ColumnarTrace want = query::ColumnarTrace::build(
+        seq.ok ? seq.data : t.report.data, symtab, {});
+    for (const unsigned n : {1u, 4u}) {
+      const query::ColumnarTrace got =
+          query::ColumnarTrace::from_reader(r, symtab, {}, n);
+      EXPECT_EQ(got.salvaged(), !seq.ok) << n << " threads";
+      ASSERT_EQ(got.rows(), want.rows()) << n << " threads";
+      for (std::size_t c = 0; c < query::kNumFields; ++c) {
+        const auto field = static_cast<query::Field>(c);
+        EXPECT_TRUE(std::ranges::equal(got.col(field), want.col(field)))
+            << n << " threads, column " << c;
+      }
+    }
   }
-  ASSERT_FALSE(seq_err.empty());
-  EXPECT_EQ(par_err, seq_err) << "damage diagnostics must not depend on the "
-                                 "thread count";
+}
+
+// The strict read and salvage are linear in chunks: 40K one-record
+// chunks once took 13-24 s in an unoptimized build, because each chunk
+// decode reserved exactly its own records on top of the output and so
+// copied the whole output again.
+TEST(TraceReader, ManyTinyChunksReadInLinearTime) {
+  const TraceData d = sample_data(0, 40000, 15);
+  const TraceReader r = open_trace_bytes(v2_bytes(d, 1));
+  const auto timed = [](auto&& fn) {
+    const auto t0 = std::chrono::steady_clock::now();
+    auto out = fn();
+    const std::chrono::duration<double> took =
+        std::chrono::steady_clock::now() - t0;
+    EXPECT_LT(took.count(), 3.0);
+    return out;
+  };
+  EXPECT_EQ(timed([&] { return r.read(); }), d);
+  EXPECT_EQ(timed([&] { return r.read_parallel(1); }), d);
+  const SalvageReport rep = timed([&] { return r.salvage(); });
+  EXPECT_TRUE(rep.clean());
+  EXPECT_EQ(rep.data, d);
+  const TraceTriage t = timed([&] { return classify_trace(r); });
+  EXPECT_EQ(t.health, TraceHealth::Clean);
+  EXPECT_EQ(t.report.data, d);
 }
 
 // --- salvage ----------------------------------------------------------

@@ -18,6 +18,7 @@
 #include "fluxtrace/io/follower.hpp"
 #include "fluxtrace/io/trace_reader.hpp"
 #include "fluxtrace/rt/thread_pool.hpp"
+#include "support/test_dir.hpp"
 
 namespace fluxtrace::io {
 namespace {
@@ -85,7 +86,7 @@ void write_file(const std::string& path, const std::string& bytes) {
 }
 
 std::string temp_path(const char* name) {
-  return ::testing::TempDir() + "/" + name;
+  return test_support::test_path(name);
 }
 
 TEST(TraceV3, EmptyRoundTrip) {

@@ -14,6 +14,7 @@
 
 #include "fluxtrace/io/chunked.hpp"
 #include "fluxtrace/io/trace_file.hpp"
+#include "support/test_dir.hpp"
 
 namespace fluxtrace::query {
 namespace {
@@ -297,7 +298,7 @@ TEST(QueryEngineTest, ParallelScanBitIdenticalToSequentialFuzzed) {
 struct FlxiFixture : ::testing::Test {
   void SetUp() override {
     w = make_workload(16, 8, 3);
-    path = ::testing::TempDir() + "/query_engine_test.flxt";
+    path = test_support::test_path("query_engine_test.flxt");
     io::save_trace_v2(path, w.data, /*records_per_chunk=*/16);
     std::remove(flxi_path(path).c_str());
   }
@@ -452,7 +453,7 @@ TEST_F(FlxiFixture, AttributionModeMismatchInvalidatesSidecar) {
 
 TEST(QueryEngineTest, SalvagedTraceStillAnswers) {
   const Workload w = make_workload(8, 8, 5);
-  const std::string path = ::testing::TempDir() + "/query_torn.flxt";
+  const std::string path = test_support::test_path("query_torn.flxt");
   io::save_trace_v2(path, w.data, 8);
   std::string bytes;
   {
@@ -478,7 +479,7 @@ TEST(QueryEngineTest, SalvagedTraceStillAnswers) {
 
 TEST(ColumnarOpenTest, OpenComposesReadAndBuild) {
   const Workload w = make_workload(4, 6);
-  const std::string path = ::testing::TempDir() + "/columnar_open.flxt";
+  const std::string path = test_support::test_path("columnar_open.flxt");
   io::save_trace_v2(path, w.data, 16);
   const ColumnarTrace t = ColumnarTrace::open(path, w.symtab);
   const ColumnarTrace ref = ColumnarTrace::build(w.data, w.symtab);
@@ -498,7 +499,7 @@ TEST(ColumnarOpenTest, OpenComposesReadAndBuild) {
 
 TEST(ColumnarOpenTest, OpenSalvagesDamagedFiles) {
   const Workload w = make_workload(8, 8, 9);
-  const std::string path = ::testing::TempDir() + "/columnar_open_torn.flxt";
+  const std::string path = test_support::test_path("columnar_open_torn.flxt");
   io::save_trace_v2(path, w.data, 8);
   std::string bytes;
   {
@@ -520,7 +521,7 @@ TEST(ColumnarOpenTest, OpenSalvagesDamagedFiles) {
 
 TEST(QueryEngineTest, V1TracesQueryWithoutChunkStats) {
   const Workload w = make_workload(4, 6);
-  const std::string path = ::testing::TempDir() + "/query_v1.flxt";
+  const std::string path = test_support::test_path("query_v1.flxt");
   io::save_trace(path, w.data);
   QueryEngine eng = QueryEngine::open(path, w.symtab);
   const QueryResult res = eng.run("group item: count");

@@ -9,6 +9,7 @@
 #include <fstream>
 
 #include "fluxtrace/io/chunked.hpp" // io::crc32
+#include "support/test_dir.hpp"
 
 namespace fluxtrace::query {
 namespace {
@@ -181,7 +182,7 @@ TEST(Flxi, UnknownFlagBitsAreRejected) {
 }
 
 TEST(Flxi, SaveLoadRoundTripAndMissingFile) {
-  const std::string path = ::testing::TempDir() + "/flxi_test.flxi";
+  const std::string path = test_support::test_path("flxi_test.flxi");
   const FlxiIndex idx = sample_index();
   ASSERT_TRUE(save_flxi(path, idx));
   const auto back = load_flxi(path);
@@ -194,7 +195,7 @@ TEST(Flxi, SaveLoadRoundTripAndMissingFile) {
 }
 
 TEST(Flxi, DamagedFileLoadsAsNullopt) {
-  const std::string path = ::testing::TempDir() + "/flxi_damaged.flxi";
+  const std::string path = test_support::test_path("flxi_damaged.flxi");
   {
     std::ofstream os(path, std::ios::binary);
     os << "FLXI" << std::string(40, '\x3c');

@@ -19,6 +19,7 @@
 #include "fluxtrace/query/federated.hpp"
 #include "fluxtrace/query/flxi.hpp"
 #include "fluxtrace/query/render.hpp"
+#include "support/test_dir.hpp"
 
 namespace fluxtrace::query {
 namespace {
@@ -69,8 +70,7 @@ Workload make_workload(std::size_t n_items, std::uint64_t seed = 1) {
 
 std::string fresh_dir(const char* tag) {
   static int n = 0;
-  const std::string dir = ::testing::TempDir() + "/v3q_" + tag + "_" +
-                          std::to_string(::getpid()) + "_" +
+  const std::string dir = test_support::test_dir() + "/v3q_" + tag + "_" +
                           std::to_string(n++);
   ::mkdir(dir.c_str(), 0755);
   return dir;
